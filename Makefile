@@ -12,7 +12,7 @@ BANDITD_BINARY_ADDR ?= 127.0.0.1:8660
 # Fig. 7 replication) through the shared slot kernel.
 GOLDEN_ARGS = -exp all -seed 1 -slots 300 -periods 40 -reps 3
 
-.PHONY: all build fmt-check vet test race bench bench-smoke bench-serve bench-sim bench-decide bench-wal bench-obs bench-cluster serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke verify-golden update-golden figures ci
+.PHONY: all build fmt-check vet test race fuzz-smoke bench bench-smoke bench-serve bench-sim bench-decide bench-wal bench-obs bench-cluster serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke verify-golden update-golden figures ci
 
 # Committed ScenarioSpec files driven by spec-smoke: one per channel kind
 # (gaussian, gilbert-elliott, shifting) plus the primary-user wrapper.
@@ -37,6 +37,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Bounded fuzz run (about 15 s per target): the exact solvers against brute
+# force on small decoded graphs, and the binary frame reader on arbitrary
+# bytes. New failing inputs land in the package's testdata/fuzz directory.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzExactVsBruteForce$$' -fuzztime=15s ./internal/mwis
+	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=15s ./internal/wire
 
 # Full benchmark suite (slow; regenerates every figure several times).
 bench:
@@ -258,4 +265,4 @@ update-golden:
 figures:
 	$(GO) run ./cmd/figgen -exp all -v
 
-ci: build fmt-check vet race bench-smoke serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke dist-smoke verify-golden
+ci: build fmt-check vet race fuzz-smoke bench-smoke serve-smoke spec-smoke decide-smoke recover-smoke obs-smoke cluster-smoke dist-smoke verify-golden

@@ -2,21 +2,13 @@ package mwis
 
 import "math/bits"
 
-// bitset is a fixed-capacity bit vector over vertex ids. All sets inside one
-// exact-solver instance share the same word length.
+// bitset is a fixed-capacity bit vector over vertex positions. All sets
+// inside one exact-solver instance share the same word length.
 type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
 func (b bitset) clear(i int)    { b[i/64] &^= 1 << (uint(i) % 64) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
-
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
-}
 
 // andNot stores a &^ mask into dst (dst may alias a).
 func (b bitset) andNotInto(mask, dst bitset) {
@@ -25,37 +17,19 @@ func (b bitset) andNotInto(mask, dst bitset) {
 	}
 }
 
-func (b bitset) count() int {
-	total := 0
-	for _, w := range b {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
-func (b bitset) empty() bool {
-	for _, w := range b {
-		if w != 0 {
-			return false
+// nextIn returns the first set bit in [lo, hi), or -1 if there is none.
+func (b bitset) nextIn(lo, hi int) int {
+	for wi := lo / 64; wi*64 < hi; wi++ {
+		word := b[wi]
+		if wi == lo/64 {
+			word &^= 1<<(uint(lo)%64) - 1
+		}
+		if word != 0 {
+			if i := wi*64 + bits.TrailingZeros64(word); i < hi {
+				return i
+			}
+			return -1
 		}
 	}
-	return true
-}
-
-// forEach calls fn for every set bit in ascending order.
-func (b bitset) forEach(fn func(i int)) {
-	for wi, w := range b {
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			fn(wi*64 + tz)
-			w &= w - 1
-		}
-	}
-}
-
-// members returns the set bits in ascending order.
-func (b bitset) members() []int {
-	out := make([]int, 0, b.count())
-	b.forEach(func(i int) { out = append(out, i) })
-	return out
+	return -1
 }

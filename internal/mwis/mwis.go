@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"multihopbandit/internal/graph"
 )
@@ -30,7 +31,8 @@ import (
 type Instance struct {
 	// G is the conflict graph.
 	G *graph.Graph
-	// W holds one non-negative weight per vertex of G.
+	// W holds one non-negative weight per vertex of G (+Inf allowed, NaN
+	// rejected).
 	W []float64
 }
 
@@ -42,12 +44,7 @@ func (in Instance) Validate() error {
 	if len(in.W) != in.G.N() {
 		return fmt.Errorf("mwis: %d weights for %d vertices", len(in.W), in.G.N())
 	}
-	for v, w := range in.W {
-		if w < 0 {
-			return fmt.Errorf("mwis: negative weight %v at vertex %d", w, v)
-		}
-	}
-	return nil
+	return checkWeights(in.W)
 }
 
 // Weight returns the total weight of the given vertex set under the
@@ -129,6 +126,12 @@ var ErrBudgetExceeded = errors.New("mwis: branch-and-bound budget exceeded")
 // greedy clique partition (each clique contributes at most its heaviest
 // remaining member), which is tight on the extended conflict graph H where
 // every node's channel copies form a clique.
+//
+// Each solve relabels the vertices once so every clique occupies a
+// contiguous range, heaviest member first (see Workspace.relabel). A
+// search node then walks only the live clique heads — the first remaining
+// position of each clique range — and that one walk yields the bound, the
+// pivot and, when certifying, the pivot's runner-up.
 type Exact struct {
 	// MaxNodes rejects instances larger than this (0 = 4096) to guard
 	// against accidentally exponential calls.
@@ -147,44 +150,38 @@ func (Exact) Name() string { return "exact" }
 // Solve implements Solver. On ErrBudgetExceeded the returned set is still a
 // valid independent set (the incumbent), so callers may treat the error as a
 // quality downgrade rather than a failure.
-func (e Exact) Solve(in Instance) ([]int, error) {
-	if err := in.Validate(); err != nil {
+func (e Exact) Solve(in Instance) ([]int, error) { return solveFresh(e, in) }
+
+// solvePool holds the workspaces behind Solve, which callers such as the
+// distributed agents invoke concurrently and per leader.
+var solvePool = sync.Pool{New: func() any { return new(Workspace) }}
+
+// solveFresh runs a workspace solver on a pooled workspace and copies the
+// set out, so the result is the caller's alone and never nil without an
+// error.
+func solveFresh(s WorkspaceSolver, in Instance) ([]int, error) {
+	ws := solvePool.Get().(*Workspace)
+	defer solvePool.Put(ws)
+	set, err := s.SolveWorkspace(in, ws)
+	if err != nil && !errors.Is(err, ErrBudgetExceeded) {
 		return nil, err
 	}
-	maxNodes := e.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = 4096
-	}
-	n := in.G.N()
-	if n > maxNodes {
-		return nil, fmt.Errorf("mwis: instance with %d vertices exceeds MaxNodes=%d", n, maxNodes)
-	}
-	if n == 0 {
-		return []int{}, nil
-	}
-	st := newSearch(in, e.Budget, nil)
-	full := newBitset(n)
-	for i := 0; i < n; i++ {
-		full.set(i)
-	}
-	exhausted := st.branch(full, 0, newBitset(n), 0)
-	out := st.best.members()
-	sort.Ints(out)
-	if !exhausted {
-		return out, ErrBudgetExceeded
-	}
-	return out, nil
+	return append(make([]int, 0, len(set)), set...), err
 }
 
+// search is the branch-and-bound state of one solve. It runs on positions
+// of the clique-contiguous relabeling (see Workspace.relabel): adj, w,
+// best and every remaining/chosen set are indexed by position.
 type search struct {
-	n        int
-	adj      []bitset // closed neighborhoods are adj[v] plus v itself
-	w        []float64
-	clique   []int // clique id per vertex from a greedy clique partition
-	ncliques int
-	best     bitset
-	bestW    float64
-	budget   int // remaining nodes; negative means unlimited
+	adj    []bitset  // open neighborhoods; closed ones add the vertex itself
+	w      []float64 // weight per position
+	orig   []int     // original vertex id per position
+	cend   []int     // end of the clique range holding each position
+	first  bitset    // the first position of each clique range
+	last   bitset    // the last position of each clique range
+	best   bitset
+	bestW  float64
+	budget int // remaining nodes (math.MaxInt when unlimited)
 
 	// Comparison-slack certificate (TrackSlack): slack is the minimum
 	// |lhs−rhs| margin, pre-scaled per comparison kind, over every
@@ -207,10 +204,10 @@ type search struct {
 	slack float64
 	u     float64
 
-	// Reusable buffers: cliqueMax for the upper bound, and one pair of
-	// bitsets per recursion depth for the include/exclude branches.
-	cliqueMax []float64
-	depthBufs [][2]bitset
+	// One pair of bitsets per recursion depth for the include/exclude
+	// branches: depth d owns depthBufs[2d·words : 2(d+1)·words].
+	words     int
+	depthBufs bitset
 }
 
 // note records one weight-dependent comparison's margin. A zero diff is a
@@ -223,77 +220,6 @@ func (st *search) note(diff float64) {
 	if diff < st.slack {
 		st.slack = diff
 	}
-}
-
-// newSearch prepares the branch-and-bound state. With a nil workspace every
-// buffer is freshly allocated; with a workspace, buffers (including the
-// search struct itself) are reused across solves — the resulting search is
-// bit-for-bit equivalent either way.
-func newSearch(in Instance, budget int, ws *Workspace) *search {
-	n := in.G.N()
-	var st *search
-	if ws != nil {
-		st = &ws.st
-		*st = search{n: n, w: in.W}
-	} else {
-		st = &search{n: n, w: in.W}
-	}
-	if budget <= 0 {
-		st.budget = -1
-	} else {
-		st.budget = budget
-	}
-	// All of the search's 3n+3 bitsets (adjacency, best, two per depth)
-	// come out of one arena allocation: the solver runs per LocalLeader per
-	// mini-round in the protocol simulator, where 3n tiny allocations per
-	// solve dominated the allocation profile. A workspace keeps the arena
-	// (zeroed before reuse — set-only bitsets rely on a clean start).
-	words := (n + 63) / 64
-	need := words * (3*n + 3)
-	var arena bitset
-	if ws != nil {
-		if cap(ws.arena) < need {
-			ws.arena = make(bitset, need)
-		}
-		arena = ws.arena[:need]
-		for i := range arena {
-			arena[i] = 0
-		}
-		st.adj = growInts2(&ws.adj, n)
-		st.depthBufs = growDepth(&ws.depthBufs, n+1)
-	} else {
-		arena = make(bitset, need)
-		st.adj = make([]bitset, n)
-		st.depthBufs = make([][2]bitset, n+1)
-	}
-	take := func() bitset {
-		b := arena[:words:words]
-		arena = arena[words:]
-		return b
-	}
-	st.best = take()
-	for v := 0; v < n; v++ {
-		b := take()
-		for _, u := range in.G.Neighbors(v) {
-			b.set(u)
-		}
-		st.adj[v] = b
-	}
-	st.clique = greedyCliquePartition(in.G, ws)
-	for _, c := range st.clique {
-		if c+1 > st.ncliques {
-			st.ncliques = c + 1
-		}
-	}
-	if ws != nil {
-		st.cliqueMax = growFloats(&ws.cliqueMax, st.ncliques)
-	} else {
-		st.cliqueMax = make([]float64, st.ncliques)
-	}
-	for i := range st.depthBufs {
-		st.depthBufs[i] = [2]bitset{take(), take()}
-	}
-	return st
 }
 
 // greedyCliquePartition assigns each vertex to a clique: scan vertices in
@@ -362,26 +288,43 @@ func greedyCliquePartition(g *graph.Graph, ws *Workspace) []int {
 	return clique
 }
 
-// upperBound sums, per clique, the heaviest remaining vertex: an independent
-// set contains at most one vertex per clique. It reuses st.cliqueMax to stay
-// allocation-free on the hot path.
-func (st *search) upperBound(remaining bitset) float64 {
-	for i := range st.cliqueMax {
-		st.cliqueMax[i] = 0
-	}
-	total := 0.0
-	for wi, word := range remaining {
-		for word != 0 {
-			v := wi*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			c := st.clique[v]
-			if st.w[v] > st.cliqueMax[c] {
-				total += st.w[v] - st.cliqueMax[c]
-				st.cliqueMax[c] = st.w[v]
+// heads walks the live clique heads of remaining: the first remaining
+// position of each clique range, which the relabeling makes that clique's
+// heaviest remaining member. One pass over the words returns
+//
+//   - ub, the clique-partition bound: an independent set holds at most one
+//     vertex per clique, so Σ over live cliques of the head's weight. It is
+//     summed in clique-id order, a canonical order for the partition.
+//   - pivot, the heaviest remaining vertex with ties toward the lower
+//     original id (-1 when remaining is empty). A head is its clique's
+//     heaviest member with that same tie-break, so the heaviest head is the
+//     argmax over all of remaining.
+//   - second, the heaviest head other than the pivot (-1 if none).
+//
+// The heads of a word come out of one segmented add: in ^(r|last), a
+// +1 at each range's first position carries up to the range's first
+// remaining member and stops there (or at the range's last position,
+// which the mask holds at 0 so no carry leaves its range; a range that
+// continues into the next word takes the carry with it). r & sum keeps
+// exactly the heads.
+func (st *search) heads(remaining bitset) (ub float64, pivot int, second float64) {
+	pivot, pw, second := -1, -1.0, -1.0
+	var carry uint64
+	for wi, r := range remaining {
+		var sum uint64
+		sum, carry = bits.Add64(^(r | st.last[wi]), st.first[wi], carry)
+		for h := r & sum; h != 0; h &= h - 1 {
+			i := wi*64 + bits.TrailingZeros64(h)
+			x := st.w[i]
+			ub += x
+			if x > pw || (x == pw && st.orig[i] < st.orig[pivot]) {
+				second, pw, pivot = pw, x, i
+			} else if x > second {
+				second = x
 			}
 		}
 	}
-	return total
+	return ub, pivot, second
 }
 
 // branch explores the remaining subproblem given the current chosen set and
@@ -391,9 +334,7 @@ func (st *search) branch(remaining bitset, curW float64, cur bitset, depth int) 
 	if st.budget == 0 {
 		return false
 	}
-	if st.budget > 0 {
-		st.budget--
-	}
+	st.budget--
 	// Incumbent comparison: curW − bestW is a ±1-weighted sum over the
 	// symmetric difference of the two sets, so an L1 weight drift below
 	// |curW − bestW| cannot flip it. Depth 0 compares two empty sums (0 > 0,
@@ -413,16 +354,17 @@ func (st *search) branch(remaining bitset, curW float64, cur bitset, depth int) 
 		st.bestW = curW
 		copy(st.best, cur)
 	}
-	if remaining.empty() {
-		return true
+	ub, pivot, second := st.heads(remaining)
+	if pivot < 0 {
+		return true // nothing remains
 	}
-	ub := st.upperBound(remaining)
 	// Prune comparison: curW + ub − bestW moves by at most 2× the L1 drift
 	// (cur and remaining are disjoint, contributing ≤ D1 together; best may
 	// overlap both and contributes ≤ D1 on its own), hence the halved margin.
-	// The comparisons inside upperBound itself need no recording: whichever
-	// vertex attains a clique's maximum, the maximum's value moves by at most
-	// the clique members' summed drift.
+	// Which member heads a clique needs no recording: whichever vertex
+	// attains a clique's maximum, the maximum's value moves by at most the
+	// clique members' summed drift. The summation order is fixed by the
+	// partition, not by the weights, so it is no comparison either.
 	if st.track {
 		st.note((curW + ub - st.bestW) / 2)
 	}
@@ -434,42 +376,29 @@ func (st *search) branch(remaining bitset, curW float64, cur bitset, depth int) 
 		}
 		return true // pruned
 	}
-	// Branch on the heaviest remaining vertex (ties toward lower id). The
-	// scan's outcome is exactly the argmax with first-index tie-breaking, so
-	// the only margin the traversal depends on is max − runner-up: the pivot
-	// survives any drift below it (earlier vertices stay strictly below,
-	// later ones stay at-or-below), while comparisons among non-pivot
-	// vertices only shuffle scan-internal state. A singleton scan is
-	// weight-independent and records nothing; an exact tie for the maximum
-	// records a zero margin, voiding the certificate.
-	pivot, pw := -1, -1.0
+	// Branch on the heaviest remaining vertex (ties toward the lower
+	// original id, so the pivot does not depend on the relabeling). The
+	// only margin the choice depends on is max − runner-up: the pivot
+	// survives any drift below it, while comparisons among non-pivot
+	// vertices only shuffle walk-internal state. The runner-up is the
+	// larger of the other heads and the pivot clique's next remaining
+	// member. A lone remaining vertex is weight-independent and records
+	// nothing; an exact tie for the maximum records a zero margin, voiding
+	// the certificate.
 	if st.track {
-		second := -1.0
-		remaining.forEach(func(v int) {
-			if st.w[v] > pw {
-				second = pw
-				pw = st.w[v]
-				pivot = v
-			} else if st.w[v] > second {
-				second = st.w[v]
-			}
-		})
-		if second >= 0 {
-			st.note(pw - second)
+		if j := remaining.nextIn(pivot+1, st.cend[pivot]); j >= 0 && st.w[j] > second {
+			second = st.w[j]
 		}
-	} else {
-		remaining.forEach(func(v int) {
-			if st.w[v] > pw {
-				pw = st.w[v]
-				pivot = v
-			}
-		})
+		if second >= 0 {
+			st.note(st.w[pivot] - second)
+		}
 	}
 	// Include pivot: drop pivot and its neighbors from the remainder.
-	withPivot := st.depthBufs[depth][0]
+	k := st.words
+	bufs := st.depthBufs[2*depth*k : 2*(depth+1)*k]
+	withPivot, inclRemaining := bufs[:k:k], bufs[k:]
 	copy(withPivot, remaining)
 	withPivot.clear(pivot)
-	inclRemaining := st.depthBufs[depth][1]
 	withPivot.andNotInto(st.adj[pivot], inclRemaining)
 	cur.set(pivot)
 	ok := st.branch(inclRemaining, curW+st.w[pivot], cur, depth+1)
@@ -499,32 +428,6 @@ var _ Solver = Hybrid{}
 // Name implements Solver.
 func (Hybrid) Name() string { return "hybrid" }
 
-// Solve implements Solver.
-func (h Hybrid) Solve(in Instance) ([]int, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	budget := h.Budget
-	if budget == 0 {
-		budget = 50000
-	}
-	maxExact := h.MaxExactNodes
-	if maxExact == 0 {
-		maxExact = 512
-	}
-	greedySet, err := (Greedy{}).Solve(in)
-	if err != nil {
-		return nil, err
-	}
-	if in.G.N() > maxExact {
-		return greedySet, nil
-	}
-	exactSet, err := Exact{MaxNodes: maxExact, Budget: budget}.Solve(in)
-	if err != nil && !errors.Is(err, ErrBudgetExceeded) {
-		return nil, err
-	}
-	if in.Weight(exactSet) >= in.Weight(greedySet) {
-		return exactSet, nil
-	}
-	return greedySet, nil
-}
+// Solve implements Solver: SolveWorkspace on a pooled workspace, with the
+// set copied out.
+func (h Hybrid) Solve(in Instance) ([]int, error) { return solveFresh(h, in) }

@@ -15,18 +15,22 @@ import (
 // bruteForce finds the exact MWIS weight by trying all 2^n subsets.
 func bruteForce(in Instance) float64 {
 	n := in.G.N()
+	adj := make([]int, n)
+	for v := range adj {
+		for _, u := range in.G.Neighbors(v) {
+			adj[v] |= 1 << u
+		}
+	}
 	best := 0.0
 	for mask := 0; mask < 1<<n; mask++ {
-		var set []int
-		for v := 0; v < n; v++ {
+		w, ok := 0.0, true
+		for v := 0; v < n && ok; v++ {
 			if mask&(1<<v) != 0 {
-				set = append(set, v)
+				ok = adj[v]&mask == 0
+				w += in.W[v]
 			}
 		}
-		if !in.G.IsIndependent(set) {
-			continue
-		}
-		if w := in.Weight(set); w > best {
+		if ok && w > best {
 			best = w
 		}
 	}
@@ -73,6 +77,35 @@ func TestValidate(t *testing.T) {
 	}
 	if err := (Instance{G: g, W: []float64{1, 2}}).Validate(); err != nil {
 		t.Fatalf("valid instance rejected: %v", err)
+	}
+}
+
+// TestNaNWeightRejected is the regression test for NaN weights slipping
+// past the w < 0 check (NaN compares false): both entry points reject a
+// NaN middle vertex, and both still accept +Inf.
+func TestNaNWeightRejected(t *testing.T) {
+	nan := pathInstance(t, []float64{1, math.NaN(), 1})
+	if set, err := (Exact{}).Solve(nan); err == nil {
+		t.Fatalf("Exact accepted a NaN weight and returned %v", set)
+	}
+	if err := nan.Validate(); err == nil {
+		t.Fatal("Validate accepted a NaN weight")
+	}
+	var p Prepared
+	var ws Workspace
+	p.Prepare(nan.G, &ws)
+	if set, err := (Hybrid{}).SolvePrepared(&p, nan.W, &ws); err == nil {
+		t.Fatalf("SolvePrepared accepted a NaN weight and returned %v", set)
+	}
+
+	inf := pathInstance(t, []float64{1, math.Inf(1), 1})
+	set, err := (Exact{}).Solve(inf)
+	if err != nil || !equalIntSlices(set, []int{1}) {
+		t.Fatalf("Exact with +Inf: set %v, err %v; want [1]", set, err)
+	}
+	set, err = (Hybrid{}).SolvePrepared(&p, inf.W, &ws)
+	if err != nil || !equalIntSlices(set, []int{1}) {
+		t.Fatalf("SolvePrepared with +Inf: set %v, err %v; want [1]", set, err)
 	}
 }
 
@@ -454,17 +487,91 @@ func TestCliquePartitionValid(t *testing.T) {
 	}
 }
 
+// TestUpperBoundSound checks the clique-head walk on random remaining
+// subsets, not only the full set: ub is the per-clique maximum summed in
+// clique-id order and never below the subset's optimum, the pivot is the
+// heaviest remaining vertex (ties toward the lower original id) and second
+// the heaviest head besides it. Sizes cross 64-bit word boundaries.
 func TestUpperBoundSound(t *testing.T) {
-	// The clique-partition bound must never be below the true optimum.
-	for seed := int64(0); seed < 20; seed++ {
-		in := randomInstance(12, 0.3, rng.New(seed))
-		st := newSearch(in, 0, nil)
-		full := newBitset(in.G.N())
-		for i := 0; i < in.G.N(); i++ {
-			full.set(i)
+	src := rng.New(5)
+	var ws Workspace
+	var p Prepared
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + src.Intn(14)
+		if trial%3 == 0 {
+			n = 60 + src.Intn(80)
 		}
-		if ub := st.upperBound(full); ub < bruteForce(in)-1e-9 {
-			t.Fatalf("seed %d: upper bound %v below optimum %v", seed, ub, bruteForce(in))
+		in := randomInstance(n, 0.1+0.6*src.Float64(), src)
+		if trial%2 == 0 {
+			for i := range in.W {
+				in.W[i] = float64(src.Intn(3)) // ties and zeros
+			}
+		}
+		p.Prepare(in.G, &ws)
+		st := ws.relabel(&p, in.W)
+		remaining := newBitset(n)
+		var vs []int // remaining original ids
+		for v := 0; v < n; v++ {
+			if src.Intn(3) > 0 {
+				remaining.set(ws.inv[v])
+				vs = append(vs, v)
+			}
+		}
+		ub, pivot, second := st.heads(remaining)
+
+		wantUB, wantPivot := 0.0, -1
+		var cliqueMax []float64 // per clique, in clique-id order
+		for c := 0; c+1 < len(p.cstart); c++ {
+			m := -1.0
+			for _, v := range p.byClique[p.cstart[c]:p.cstart[c+1]] {
+				if remaining.has(ws.inv[v]) && in.W[v] > m {
+					m = in.W[v]
+				}
+			}
+			if m >= 0 {
+				wantUB += m
+				cliqueMax = append(cliqueMax, m)
+			}
+		}
+		for _, v := range vs {
+			if wantPivot < 0 || in.W[v] > in.W[wantPivot] {
+				wantPivot = v
+			}
+		}
+		if ub != wantUB {
+			t.Fatalf("trial %d: ub %v, per-clique maxima sum %v", trial, ub, wantUB)
+		}
+		if wantPivot < 0 {
+			if pivot != -1 {
+				t.Fatalf("trial %d: pivot %d on an empty set", trial, pivot)
+			}
+			continue
+		}
+		if st.orig[pivot] != wantPivot {
+			t.Fatalf("trial %d: pivot %d, want %d", trial, st.orig[pivot], wantPivot)
+		}
+		wantSecond, skipped := -1.0, false
+		for _, m := range cliqueMax {
+			if m == in.W[wantPivot] && !skipped {
+				skipped = true // the pivot's own clique
+				continue
+			}
+			if m > wantSecond {
+				wantSecond = m
+			}
+		}
+		if second != wantSecond {
+			t.Fatalf("trial %d: second %v, want %v", trial, second, wantSecond)
+		}
+		if n <= 14 {
+			sub, _ := in.G.InducedSubgraph(vs)
+			sw := make([]float64, len(vs))
+			for i, v := range vs {
+				sw[i] = in.W[v]
+			}
+			if opt := bruteForce(Instance{G: sub, W: sw}); ub < opt-1e-9 {
+				t.Fatalf("trial %d: upper bound %v below optimum %v", trial, ub, opt)
+			}
 		}
 	}
 }
@@ -477,32 +584,24 @@ func TestBitsetOps(t *testing.T) {
 	if !b.has(0) || !b.has(64) || !b.has(129) || b.has(1) {
 		t.Fatal("set/has broken")
 	}
-	if b.count() != 3 {
-		t.Fatalf("count = %d", b.count())
-	}
 	b.clear(64)
-	if b.has(64) || b.count() != 2 {
+	if b.has(64) || !b.has(0) || !b.has(129) {
 		t.Fatal("clear broken")
 	}
-	c := b.clone()
-	c.set(5)
-	if b.has(5) {
-		t.Fatal("clone shares storage")
-	}
-	var got []int
-	b.forEach(func(i int) { got = append(got, i) })
-	if len(got) != 2 || got[0] != 0 || got[1] != 129 {
-		t.Fatalf("forEach = %v", got)
-	}
-	mem := b.members()
-	if len(mem) != 2 || mem[0] != 0 || mem[1] != 129 {
-		t.Fatalf("members = %v", mem)
-	}
-	if b.empty() {
-		t.Fatal("non-empty bitset reported empty")
-	}
-	if !newBitset(10).empty() {
-		t.Fatal("fresh bitset not empty")
+	b.set(63)
+	for _, tc := range []struct{ lo, hi, want int }{
+		{0, 130, 0},
+		{1, 130, 63},
+		{1, 63, -1},
+		{1, 64, 63},
+		{64, 129, -1},
+		{64, 130, 129},
+		{63, 63, -1},
+		{130, 130, -1},
+	} {
+		if got := b.nextIn(tc.lo, tc.hi); got != tc.want {
+			t.Errorf("nextIn(%d, %d) = %d, want %d", tc.lo, tc.hi, got, tc.want)
+		}
 	}
 }
 
@@ -515,6 +614,6 @@ func TestBitsetAndNotInto(t *testing.T) {
 	dst := newBitset(70)
 	a.andNotInto(mask, dst)
 	if !dst.has(1) || dst.has(65) {
-		t.Fatalf("andNotInto wrong: %v", dst.members())
+		t.Fatalf("andNotInto wrong: %v", dst)
 	}
 }

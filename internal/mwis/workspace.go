@@ -1,7 +1,6 @@
 package mwis
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -19,18 +18,22 @@ import (
 // returns (see TestSolveWorkspaceMatchesSolve).
 type Workspace struct {
 	// TrackSlack requests the replay-slack certificate from the next
-	// Hybrid.SolvePrepared call; Slack is its result. When the budgeted
-	// exact search completes, Slack is a margin S such that any weight
-	// vector w' with Σ_v |w'_v − w_v| < S provably makes a from-scratch
-	// solve return the identical set. S is the maximum of two independent
-	// certificates:
+	// Hybrid.SolvePrepared or Hybrid.SolveWorkspace call; Slack is its
+	// result. When the budgeted exact search completes, Slack is a margin
+	// S such that any weight vector w' with Σ_v |w'_v − w_v| < S provably
+	// makes a from-scratch solve return the identical set. S is the
+	// maximum of two independent certificates:
 	//
 	//   - Traversal slack: the minimum margin, pre-scaled per comparison
 	//     kind, over the weight-dependent comparisons the search executed
 	//     (incumbent updates, clique-bound prunes at half weight, pivot
-	//     scans). Drift below it flips none of them, so the search on w'
-	//     runs the identical traversal — same incumbents, same prunes,
-	//     same budget consumption — and returns the identical set.
+	//     choices at max − runner-up). Drift below it flips none of them,
+	//     so the search on w' runs the identical traversal — same
+	//     incumbents, same prunes, same budget consumption — and returns
+	//     the identical set. The per-solve relabeling under w' (see Exact)
+	//     cannot break this: the pivot's tie-break is on original ids, and
+	//     the bound is the same per-clique maximum summed in clique-id
+	//     order, so each comparison is the one w made.
 	//
 	//   - Uniqueness gap: the distance from the optimum to the
 	//     second-best independent set, available only when the prepared
@@ -58,12 +61,17 @@ type Workspace struct {
 	removed []bool
 	wsort   weightSorter
 	gout    []int
-	// exact branch-and-bound state
+	// exact branch-and-bound state: the preparation Exact and Hybrid's
+	// SolveWorkspace build, the per-solve relabeling (position → vertex,
+	// vertex → position, weight and adjacency per position) and the
+	// search's bitsets
+	pre       Prepared
+	perm, inv []int
+	wpos      []float64
 	st        search
 	arena     bitset
 	adj       []bitset
-	depthBufs [][2]bitset
-	cliqueMax []float64
+	depthBufs bitset
 	full, cur bitset
 	eout      []int
 	// clique-partition state (shared by greedy bound construction)
@@ -100,15 +108,6 @@ func growInts(s *[]int, n int) []int {
 func growInts2(s *[]bitset, n int) []bitset {
 	if cap(*s) < n {
 		*s = make([]bitset, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-// growDepth resizes *s to length n, reusing capacity.
-func growDepth(s *[][2]bitset, n int) [][2]bitset {
-	if cap(*s) < n {
-		*s = make([][2]bitset, n)
 	}
 	*s = (*s)[:n]
 	return *s
@@ -202,10 +201,8 @@ func (g Greedy) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 	return out, nil
 }
 
-// SolveWorkspace implements WorkspaceSolver: Exact.Solve reusing the
-// workspace's arena and buffers. Search order, pruning and budget accounting
-// are shared with Solve, so the incumbent and the budget outcome match it
-// exactly.
+// SolveWorkspace implements WorkspaceSolver: it prepares the graph into ws
+// and runs the one branch-and-bound search Hybrid uses too.
 func (e Exact) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -221,35 +218,16 @@ func (e Exact) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 	if n == 0 {
 		return ws.eout[:0], nil
 	}
-	st := newSearch(in, e.Budget, ws)
-	words := (n + 63) / 64
-	full := growBitset(&ws.full, words)
-	cur := growBitset(&ws.cur, words)
-	for i := 0; i < n; i++ {
-		full.set(i)
-	}
-	exhausted := st.branch(full, 0, cur, 0)
-	out := ws.eout[:0]
-	st.best.forEach(func(i int) { out = append(out, i) })
-	ws.eout = out
-	if !exhausted {
-		return out, ErrBudgetExceeded
-	}
-	return out, nil
+	ws.pre.Prepare(in.G, ws)
+	return exactPrepared(&ws.pre, in.W, e.Budget, ws)
 }
 
-// SolveWorkspace implements WorkspaceSolver. It returns exactly what
-// Hybrid.Solve returns but runs Exact first and Greedy only on budget
-// exhaustion: when the budgeted exact search completes, its set is a true
-// optimum, so Solve's weight comparison always picks it over the greedy set
-// — skipping the greedy solve entirely cannot change the output.
+// SolveWorkspace implements WorkspaceSolver: SolvePrepared over a
+// preparation held in ws. Above MaxExactNodes it is the greedy heuristic
+// and nothing is prepared.
 func (h Hybrid) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
-	}
-	budget := h.Budget
-	if budget == 0 {
-		budget = 50000
 	}
 	maxExact := h.MaxExactNodes
 	if maxExact == 0 {
@@ -258,24 +236,8 @@ func (h Hybrid) SolveWorkspace(in Instance, ws *Workspace) ([]int, error) {
 	if in.G.N() > maxExact {
 		return Greedy{}.SolveWorkspace(in, ws)
 	}
-	exactSet, err := Exact{MaxNodes: maxExact, Budget: budget}.SolveWorkspace(in, ws)
-	if err == nil {
-		return exactSet, nil
-	}
-	if !errors.Is(err, ErrBudgetExceeded) {
-		return nil, err
-	}
-	// Budget exhausted: the incumbent may be beaten by the greedy set, the
-	// same comparison Solve makes. Greedy draws from disjoint buffers
-	// (ws.gout vs ws.eout), so exactSet stays valid across the call.
-	greedySet, gerr := Greedy{}.SolveWorkspace(in, ws)
-	if gerr != nil {
-		return nil, gerr
-	}
-	if in.Weight(exactSet) >= in.Weight(greedySet) {
-		return exactSet, nil
-	}
-	return greedySet, nil
+	ws.pre.Prepare(in.G, ws)
+	return h.SolvePrepared(&ws.pre, in.W, ws)
 }
 
 // growBitset resizes *b to the given word count, reusing capacity. Contents

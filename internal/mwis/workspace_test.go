@@ -2,6 +2,7 @@ package mwis
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"multihopbandit/internal/rng"
@@ -43,6 +44,41 @@ func TestSolveWorkspaceMatchesSolve(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSolveConcurrent runs Solve from several goroutines at once: each
+// call draws its own pooled workspace and returns a set no other call
+// touches, so every result matches the serial one.
+func TestSolveConcurrent(t *testing.T) {
+	var ins []Instance
+	var want [][]int
+	for seed := int64(0); seed < 16; seed++ {
+		in := randomInstance(8+int(seed), 0.3, rng.New(seed+900))
+		set, err := (Hybrid{}).Solve(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins, want = append(ins, in), append(want, set)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				i := (g + rep) % len(ins)
+				got, err := (Hybrid{}).Solve(ins[i])
+				if err != nil || !equalIntSlices(got, want[i]) {
+					t.Errorf("goroutine %d: instance %d solved to %v (err %v), want %v", g, i, got, err, want[i])
+					return
+				}
+				if len(got) > 0 {
+					got[0] = -1 // the caller owns its result
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestSolveWorkspaceEmptyAndInvalid covers the degenerate paths.
