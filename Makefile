@@ -39,10 +39,13 @@ race:
 	$(GO) test -race ./...
 
 # Bounded fuzz run (about 15 s per target): the exact solvers against brute
-# force on small decoded graphs, and the binary frame reader on arbitrary
-# bytes. New failing inputs land in the package's testdata/fuzz directory.
+# force on small decoded graphs, the Decider against the frozen from-scratch
+# decision oracle on decoded weight sequences, and the binary frame reader
+# on arbitrary bytes. New failing inputs land in the package's
+# testdata/fuzz directory.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzExactVsBruteForce$$' -fuzztime=15s ./internal/mwis
+	$(GO) test -run='^$$' -fuzz='^FuzzDeciderVsReference$$' -fuzztime=15s ./internal/protocol
 	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=15s ./internal/wire
 
 # Full benchmark suite (slow; regenerates every figure several times).

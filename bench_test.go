@@ -180,7 +180,7 @@ func BenchmarkDistributedDecision(b *testing.B) {
 	rt, w := benchDecisionSetup(b, 100, 10, 2, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rt.Decide(w, nil); err != nil {
+		if _, err := rt.NewDecider().Decide(w, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -190,7 +190,7 @@ func BenchmarkDistributedDecision(b *testing.B) {
 // and reports the per-decision max per-vertex message count.
 func BenchmarkMessageCounting(b *testing.B) {
 	rt, w := benchDecisionSetup(b, 100, 5, 2, 4)
-	res, err := rt.Decide(w, nil)
+	res, err := rt.NewDecider().Decide(w, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func BenchmarkMessageCounting(b *testing.B) {
 	b.ResetTimer()
 	var maxMsg int
 	for i := 0; i < b.N; i++ {
-		r2, err := rt.Decide(w, prev)
+		r2, err := rt.NewDecider().Decide(w, prev)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func BenchmarkAblationR(b *testing.B) {
 			var weight float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := rt.Decide(w, nil)
+				res, err := rt.NewDecider().Decide(w, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -319,7 +319,7 @@ func BenchmarkAblationD(b *testing.B) {
 			var weight float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := rt.Decide(w, nil)
+				res, err := rt.NewDecider().Decide(w, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -356,7 +356,7 @@ func BenchmarkAblationSolver(b *testing.B) {
 			var weight float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := rt.Decide(w, nil)
+				res, err := rt.NewDecider().Decide(w, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

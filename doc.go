@@ -203,9 +203,11 @@
 // faster on the step hot path (tracked in BENCH_cluster.json by `make
 // bench-cluster`). cmd/banditload is the closed-loop load generator
 // behind `make bench-serve` (results tracked in BENCH_serve.json); it
-// drives either transport. The pre-spec flat create payload is still
-// accepted and maps 1:1 onto a spec. See EXPERIMENTS.md for the serving
-// workflow and OPERATIONS.md for the operator's runbook.
+// drives either transport. The create payload is {"id": ..., "spec":
+// {...}}; a body without "spec" is rejected. Observed rewards must be
+// finite and non-negative (channel.ValidReward); a request carrying any
+// other reward is rejected whole with invalid_request. See EXPERIMENTS.md
+// for the serving workflow and OPERATIONS.md for the operator's runbook.
 //
 // # Durability
 //

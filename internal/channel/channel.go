@@ -12,6 +12,7 @@ package channel
 
 import (
 	"fmt"
+	"math"
 
 	"multihopbandit/internal/rng"
 )
@@ -22,6 +23,14 @@ var PaperRatesKbps = []float64{150, 225, 300, 450, 600, 900, 1200, 1350}
 
 // MaxPaperRateKbps is the normalization constant mapping kbps to [0, 1].
 const MaxPaperRateKbps = 1350.0
+
+// ValidReward reports whether x lies in the paper's reward domain: an
+// observed data rate, so finite and non-negative. The domain has no upper
+// cap. Rewards are on the normalized rate scale, but an externally observed
+// link may outrun the catalog's fastest rate, and every learner stays
+// well defined for any finite value; a negative, NaN or infinite reward
+// would instead poison the index weights every later decision reads.
+func ValidReward(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // Kind selects the distribution family of a channel process.
 type Kind int

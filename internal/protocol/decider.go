@@ -205,9 +205,9 @@ func (a *DecideArena) get() *decideScratch   { return a.pool.Get().(*decideScrat
 func (a *DecideArena) put(sc *decideScratch) { a.pool.Put(sc) }
 
 // Decider executes strategy decisions over one Runtime with persistent
-// per-consumer state. Where Runtime.Decide rebuilds scratch, induced
-// subgraphs and solver state on every call, a Decider keeps them alive
-// across decisions:
+// per-consumer state; it is the package's one implementation of the
+// lock-step decision. Instead of rebuilding scratch, induced subgraphs and
+// solver state on every call, a Decider keeps them alive across decisions:
 //
 //   - scratch buffers (statuses, leader lists, candidate sets) and a
 //     graph.SubgraphArena + mwis.Workspace, so a steady-state full decision
@@ -224,13 +224,14 @@ func (a *DecideArena) put(sc *decideScratch) { a.pool.Put(sc) }
 //     or drifted within the anchor's comparison-slack certificate
 //     (sensitivity skip), and replays the cached split in either case.
 //
-// All layers are exact — same inputs produce bit-identical Results, Stats
-// included (see TestDeciderMatchesReferenceRandomized) — so a Decider is a
-// drop-in for Runtime.Decide on any trajectory. A Decider is confined to
-// one goroutine; create one per consumer (the slot kernel embeds one per
-// Loop). Results it returns follow Runtime.Decide's contract: they are
-// never mutated afterwards, and an epoch-skipped boundary returns the same
-// *Result as the decision it replays.
+// All layers are exact: a Decider's Results, Stats included, are
+// bit-identical to a fresh Decider's on the same inputs, whatever its
+// history (TestDeciderMatchesReferenceRandomized and FuzzDeciderVsReference
+// pin this against a frozen from-scratch oracle). One-shot callers use
+// rt.NewDecider().Decide. A Decider is confined to one goroutine; create
+// one per consumer (the slot kernel embeds one per Loop). Results it
+// returns are never mutated afterwards, and an epoch-skipped boundary
+// returns the same *Result as the decision it replays.
 type Decider struct {
 	rt      *Runtime
 	wss     mwis.WorkspaceSolver // nil when the runtime's solver has no workspace path
@@ -312,8 +313,11 @@ func (d *Decider) SetTracer(fn func(*DecideTrace)) { d.tracer = fn }
 
 // Decide runs one strategy decision with the incremental state, comparing
 // the inputs against the previous call's to detect an unchanged weight
-// epoch itself. Output is bit-identical to Runtime.Decide on the same
-// inputs.
+// epoch itself.
+//
+// prevPlayed lists the vertex ids included in the previous round's strategy
+// (they are the only vertices with fresh weights to broadcast); pass nil on
+// the first round.
 func (d *Decider) Decide(weights []float64, prevPlayed []int) (*Result, error) {
 	return d.decide(weights, prevPlayed, false, nil)
 }
@@ -411,11 +415,12 @@ func (d *Decider) decide(weights []float64, prevPlayed []int, weightsUnchanged b
 	return res, nil
 }
 
-// decideFull mirrors Runtime.Decide step for step over the persistent
-// buffers; any observable divergence is a bug the randomized equivalence
-// suite exists to catch. The winner-weight series and all Stats are always
-// recomputed from the current weight vector — replayed leader splits
-// contribute current weights, never cached ones.
+// decideFull runs one full strategy decision (the strategy-decision part of
+// Algorithm 2) over the persistent buffers: a WB step for the vertices
+// played in the previous round, then up to D mini-rounds of Algorithm 3.
+// The winner-weight series and all Stats are always recomputed from the
+// current weight vector — replayed leader splits contribute current
+// weights, never cached ones.
 func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) (*Result, error) {
 	rt := d.rt
 	h := rt.ext.H
@@ -450,7 +455,7 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 		}
 	}
 	width := 2*rt.r + 1
-	res.Stats.MiniTimeslots += width * width
+	res.Stats.MiniTimeslots += width * width // pipelined CDS broadcast bound
 	if traced {
 		now := time.Now()
 		d.trace.BroadcastNS = now.Sub(phaseStart).Nanoseconds()
@@ -466,11 +471,13 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 	totalWinnerWeight := 0.0
 	maxRounds := rt.d
 	if maxRounds == 0 {
-		maxRounds = n
+		maxRounds = n // the paper's worst-case bound
 	}
 	for tau := 0; tau < maxRounds && candidates > 0; tau++ {
 		leaders := d.selectLeaders(sc, weights, status)
 		if len(leaders) == 0 {
+			// Cannot happen while candidates remain: the global maximum
+			// among candidates is always a leader. Guard anyway.
 			if traced {
 				now := time.Now()
 				d.trace.ElectionNS += now.Sub(phaseStart).Nanoseconds()
@@ -481,6 +488,7 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 		for _, v := range leaders {
 			status[v] = LocalLeader
 			res.Stats.LeaderDeclarations++
+			// LS declaration floods the (2r+1)-hop neighborhood.
 			for _, u := range rt.ball2R1[v] {
 				res.Stats.MessagesPerVertex[u]++
 			}
@@ -504,6 +512,13 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 				status[u] = Loser
 				candidates--
 			}
+			// Mirror the centralized PTAS removal semantics: every still
+			// undecided neighbor of a fresh Winner becomes a Loser, even
+			// when it lies outside A_r(v). Winners are within r hops of
+			// the leader, so their neighbors are within r+1 and the LB
+			// broadcast below reaches them in the same mini-round.
+			// Without this rule a later mini-round could crown a Winner
+			// adjacent to an existing one.
 			for _, u := range winners {
 				for _, x := range h.Neighbors(u) {
 					if status[x] == Candidate {
@@ -512,6 +527,10 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 					}
 				}
 			}
+			// LB: determinations flood the (3r+2)-hop neighborhood, one
+			// hop past the paper's 3r+1, because the winner-neighbor
+			// exclusions above extend the ruled set to r+1 hops around
+			// the leader.
 			res.Stats.LocalBroadcasts++
 			for _, u := range rt.ballLB[v] {
 				res.Stats.MessagesPerVertex[u]++
@@ -558,7 +577,12 @@ func (d *Decider) decideFull(weights []float64, prevPlayed []int, t0 time.Time) 
 	return res, nil
 }
 
-// selectLeaders is Runtime.selectLeaders over the scratch leader buffer.
+// selectLeaders returns the Candidates whose (weight, -id) is lexicographic
+// maximum among all Candidates within their (2r+1)-hop neighborhood. The
+// strict id tie-break guarantees no two leaders are within 2r+1 hops even
+// under equal weights, which keeps the leaders' r-balls disjoint and the
+// union of their local MWIS results independent. The returned slice is
+// scratch-backed: it is only valid until the next selectLeaders call.
 func (d *Decider) selectLeaders(sc *decideScratch, weights []float64, status []Status) []int {
 	leaders := sc.leaders[:0]
 	for v, st := range status {
@@ -584,13 +608,15 @@ func (d *Decider) selectLeaders(sc *decideScratch, weights []float64, status []S
 }
 
 // localDecision computes the winner/loser split of MWIS(A_r(v)) for
-// LocalLeader v, consulting the per-leader cache first: an anchored entry
-// whose candidate set matches replays its split outright when no candidate
-// weight moved since the anchor epoch, when the weights compare exactly
-// equal, or when their L1 drift stays strictly below the anchor's slack
-// certificate. Otherwise it resolves — over the cached subgraph preparation
-// when the candidate set matches (hybrid solver), from scratch when not —
-// and re-anchors the entry at the current epoch.
+// LocalLeader v over the Candidate vertices in its r-hop neighborhood (the
+// leader itself counts: its status was just set to LocalLeader, which still
+// makes it undecided). It consults the per-leader cache first: an anchored
+// entry whose candidate set matches replays its split outright when no
+// candidate weight moved since the anchor epoch, when the weights compare
+// exactly equal, or when their L1 drift stays strictly below the anchor's
+// slack certificate. Otherwise it resolves — over the cached subgraph
+// preparation when the candidate set matches (hybrid solver), from scratch
+// when not — and re-anchors the entry at the current epoch.
 func (d *Decider) localDecision(sc *decideScratch, v int, weights []float64, status []Status) (winners, losers []int, err error) {
 	ar := sc.ar[:0]
 	for _, u := range d.rt.ballR[v] {

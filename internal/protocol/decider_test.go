@@ -9,15 +9,15 @@ import (
 	"multihopbandit/internal/rng"
 )
 
-// decideSequence drives one Decider and the from-scratch reference through
-// an identical sequence of decisions and asserts every Result is deeply
-// equal (winners, strategy, convergence, per-mini-round series, and the
-// full communication Stats).
+// decideSequence drives one Decider and the frozen from-scratch oracle
+// (referenceDecide) through an identical sequence of decisions and asserts
+// every Result is deeply equal (winners, strategy, convergence,
+// per-mini-round series, and the full communication Stats).
 func decideSequence(t *testing.T, rt *Runtime, dec *Decider, weightSeq [][]float64) {
 	t.Helper()
 	var prevRef, prevInc []int
 	for i, w := range weightSeq {
-		want, err := rt.Decide(w, prevRef)
+		want, err := referenceDecide(rt, w, prevRef)
 		if err != nil {
 			t.Fatalf("decision %d: reference: %v", i, err)
 		}
@@ -538,7 +538,7 @@ func TestDeciderChangeSetEquivalence(t *testing.T) {
 			}
 		}
 		copy(last, w)
-		want, err := rt.Decide(w, prevRef)
+		want, err := referenceDecide(rt, w, prevRef)
 		if err != nil {
 			t.Fatal(err)
 		}

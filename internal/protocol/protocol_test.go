@@ -54,7 +54,7 @@ func TestDecideWeightsLengthCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Decide([]float64{1, 2}, nil); err == nil {
+	if _, err := rt.NewDecider().Decide([]float64{1, 2}, nil); err == nil {
 		t.Fatal("expected weight length error")
 	}
 }
@@ -66,7 +66,7 @@ func TestDecideOutputIsIndependentSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := rt.Decide(randomWeights(ext.K(), seed+100), nil)
+		res, err := rt.NewDecider().Decide(randomWeights(ext.K(), seed+100), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestDecideOutputIndependentUnderCappedD(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := rt.Decide(randomWeights(ext.K(), seed+5), nil)
+		res, err := rt.NewDecider().Decide(randomWeights(ext.K(), seed+5), nil)
 		if err != nil {
 			return false
 		}
@@ -105,7 +105,7 @@ func TestDecideConvergesUnbounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rt.Decide(randomWeights(ext.K(), 8), nil)
+	res, err := rt.NewDecider().Decide(randomWeights(ext.K(), 8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +122,11 @@ func TestDecideDeterministic(t *testing.T) {
 	w := randomWeights(ext.K(), 4)
 	rt1, _ := New(Config{Ext: ext, R: 2})
 	rt2, _ := New(Config{Ext: ext, R: 2})
-	a, err := rt1.Decide(w, nil)
+	a, err := rt1.NewDecider().Decide(w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rt2.Decide(w, nil)
+	b, err := rt2.NewDecider().Decide(w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestWeightByMiniRoundMonotone(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := rt.Decide(randomWeights(ext.K(), seed+9), nil)
+		res, err := rt.NewDecider().Decide(randomWeights(ext.K(), seed+9), nil)
 		if err != nil {
 			return false
 		}
@@ -177,7 +177,7 @@ func TestLeadersPairwiseSeparated(t *testing.T) {
 	for i := range status {
 		status[i] = Candidate
 	}
-	leaders := rt.selectLeaders(w, status, new(scratch))
+	leaders := rt.NewDecider().selectLeaders(new(decideScratch), w, status)
 	if len(leaders) == 0 {
 		t.Fatal("no leaders selected")
 	}
@@ -205,7 +205,7 @@ func TestGlobalMaxIsAlwaysLeader(t *testing.T) {
 	for i := range status {
 		status[i] = Candidate
 	}
-	leaders := rt.selectLeaders(w, status, new(scratch))
+	leaders := rt.NewDecider().selectLeaders(new(decideScratch), w, status)
 	found := false
 	for _, l := range leaders {
 		if l == best {
@@ -226,7 +226,7 @@ func TestEqualWeightsTieBreak(t *testing.T) {
 		w[i] = 1
 	}
 	rt, _ := New(Config{Ext: ext, R: 2, D: 0})
-	res, err := rt.Decide(w, nil)
+	res, err := rt.NewDecider().Decide(w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestLinearWorstCaseNeedsManyMiniRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rt.Decide(w, nil)
+	res, err := rt.NewDecider().Decide(w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestLinearWorstCaseNeedsManyMiniRounds(t *testing.T) {
 	// a small constant number of mini-rounds (Theorem 4 / Fig. 6).
 	extR := buildExt(t, 40, 1, 21)
 	rtR, _ := New(Config{Ext: extR, R: 2, D: 0})
-	resR, err := rtR.Decide(randomWeights(extR.K(), 22), nil)
+	resR, err := rtR.NewDecider().Decide(randomWeights(extR.K(), 22), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestRandomNetworksConvergeFast(t *testing.T) {
 	for _, n := range []int{30, 60, 100} {
 		ext := buildExt(t, n, 5, int64(n))
 		rt, _ := New(Config{Ext: ext, R: 2, D: 0})
-		res, err := rt.Decide(randomWeights(ext.K(), int64(n)+1), nil)
+		res, err := rt.NewDecider().Decide(randomWeights(ext.K(), int64(n)+1), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,12 +308,13 @@ func TestMessageComplexityBounded(t *testing.T) {
 	maxAt := func(n int) int {
 		ext := buildExt(t, n, 3, int64(n)*7)
 		rt, _ := New(Config{Ext: ext, R: 2, D: 4})
+		dec := rt.NewDecider()
 		// Use a full previous strategy so WB cost is realistic.
-		res1, err := rt.Decide(randomWeights(ext.K(), 1), nil)
+		res1, err := dec.Decide(randomWeights(ext.K(), 1), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res2, err := rt.Decide(randomWeights(ext.K(), 2), res1.Winners)
+		res2, err := dec.Decide(randomWeights(ext.K(), 2), res1.Winners)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +330,7 @@ func TestMessageComplexityBounded(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	ext := buildExt(t, 20, 3, 13)
 	rt, _ := New(Config{Ext: ext, R: 2, D: 3})
-	res, err := rt.Decide(randomWeights(ext.K(), 14), []int{0, 5})
+	res, err := rt.NewDecider().Decide(randomWeights(ext.K(), 14), []int{0, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestStatsAccounting(t *testing.T) {
 func TestDecideBadPrevPlayed(t *testing.T) {
 	ext := buildExt(t, 5, 2, 1)
 	rt, _ := New(Config{Ext: ext})
-	if _, err := rt.Decide(randomWeights(ext.K(), 1), []int{999}); err == nil {
+	if _, err := rt.NewDecider().Decide(randomWeights(ext.K(), 1), []int{999}); err == nil {
 		t.Fatal("expected range error for bad prevPlayed")
 	}
 }
@@ -361,7 +362,7 @@ func TestDistributedMatchesCentralizedQuality(t *testing.T) {
 		ext := buildExt(t, 12, 2, seed)
 		w := randomWeights(ext.K(), seed+50)
 		rt, _ := New(Config{Ext: ext, R: 2, D: 0})
-		res, err := rt.Decide(w, nil)
+		res, err := rt.NewDecider().Decide(w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +391,7 @@ func TestWinnersNeighborsAreNotWinners(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := rt.Decide(randomWeights(ext.K(), seed+3), nil)
+		res, err := rt.NewDecider().Decide(randomWeights(ext.K(), seed+3), nil)
 		if err != nil {
 			return false
 		}
@@ -436,7 +437,7 @@ func TestRuntimeWithGreedySolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rt.Decide(randomWeights(ext.K(), 18), nil)
+	res, err := rt.NewDecider().Decide(randomWeights(ext.K(), 18), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +473,7 @@ func TestEmptyGraphDecide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rt.Decide(nil, nil)
+	res, err := rt.NewDecider().Decide(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,11 +482,13 @@ func TestEmptyGraphDecide(t *testing.T) {
 	}
 }
 
-// TestConcurrentDecideAccounting shares one Runtime across many goroutines
-// — the serving runtime hosts many instances on one memoized runtime — and
-// checks every concurrent Decide reproduces the serial run exactly,
-// including the full message/mini-timeslot accounting. Run under -race this
-// is the proof that Decide only reads the precomputed balls.
+// TestConcurrentDecideAccounting runs many Deciders over one shared
+// Runtime — the serving shape: one memoized runtime per topology, one
+// Decider per instance, half of them borrowing scratch from one shared
+// DecideArena — and checks every concurrent decision reproduces the frozen
+// oracle's serial result exactly, including the full message/mini-timeslot
+// accounting. Run under -race this is the proof that Deciders only read
+// the Runtime and keep their caches to themselves.
 func TestConcurrentDecideAccounting(t *testing.T) {
 	ext := buildExt(t, 14, 3, 21)
 	rt, err := New(Config{Ext: ext, R: 2, D: 4})
@@ -497,50 +500,43 @@ func TestConcurrentDecideAccounting(t *testing.T) {
 	for i := range weights {
 		weights[i] = src.Float64()
 	}
-	ref, err := rt.Decide(weights, nil)
+	ref, err := referenceDecide(rt, weights, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := ref.Winners
-	ref2, err := rt.Decide(weights, prev)
+	ref2, err := referenceDecide(rt, weights, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const goroutines = 8
 	const iters = 20
+	arena := NewDecideArena()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
+		dec := rt.NewDecider()
+		if g%2 == 1 {
+			dec.SetArena(arena)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				// Alternate the WB pattern so both code paths run hot.
+				// Alternate the WB pattern so every decision runs in full
+				// and the leader caches replay across decisions.
 				want := ref
 				var played []int
 				if it%2 == 1 {
 					want, played = ref2, prev
 				}
-				got, err := rt.Decide(weights, played)
+				got, err := dec.Decide(weights, played)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if !reflect.DeepEqual(got.Winners, want.Winners) {
-					t.Errorf("concurrent winners %v != serial %v", got.Winners, want.Winners)
-					return
-				}
-				if !reflect.DeepEqual(got.Strategy, want.Strategy) {
-					t.Errorf("concurrent strategy %v != serial %v", got.Strategy, want.Strategy)
-					return
-				}
-				if !reflect.DeepEqual(got.Stats, want.Stats) {
-					t.Errorf("concurrent stats %+v != serial %+v", got.Stats, want.Stats)
-					return
-				}
-				if got.MiniRounds != want.MiniRounds || got.Converged != want.Converged {
-					t.Errorf("concurrent rounds/convergence (%d,%v) != serial (%d,%v)",
-						got.MiniRounds, got.Converged, want.MiniRounds, want.Converged)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("concurrent result %+v != serial %+v", got, want)
 					return
 				}
 			}
@@ -582,8 +578,9 @@ func TestManyInstancesMessageAccounting(t *testing.T) {
 	replay := func(s seq) (account, error) {
 		var acc account
 		var prev []int
+		dec := s.rt.NewDecider()
 		for d := 0; d < 3; d++ {
-			res, err := s.rt.Decide(s.weights, prev)
+			res, err := dec.Decide(s.weights, prev)
 			if err != nil {
 				return acc, err
 			}

@@ -557,6 +557,11 @@ func (a *actor) observe(batches []ObservationBatch) (*ObserveResult, error) {
 				return nil, fmt.Errorf("serve: batch %d: arm %d out of range [0,%d)", bi, v, k)
 			}
 		}
+		for i, x := range b.Rewards {
+			if !channel.ValidReward(x) {
+				return nil, fmt.Errorf("serve: batch %d: reward %v for arm %d is not a finite non-negative rate", bi, x, b.Played[i])
+			}
+		}
 	}
 	applied := 0
 	defer a.trackDecisions()()

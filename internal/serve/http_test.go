@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -137,30 +138,27 @@ func TestHTTPWorkflow(t *testing.T) {
 	}
 }
 
-// TestHTTPLegacyFlatCreate posts the pre-spec flat JSON shape and checks it
-// still creates a working instance mapped onto the spec surface.
+// TestHTTPLegacyFlatCreate posts the pre-spec flat JSON shape, which is no
+// longer accepted: the create is answered 400 invalid_request and no
+// instance is registered.
 func TestHTTPLegacyFlatCreate(t *testing.T) {
-	ts, c, reg := newTestServer(t)
+	ts, _, reg := newTestServer(t)
 	body := `{"id":"flat","n":8,"m":2,"seed":1,"require_connected":true,"policy":"llr","update_every":2}`
 	resp, err := http.Post(ts.URL+"/v1/instances", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ae APIError
+	err = json.NewDecoder(resp.Body).Decode(&ae)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("legacy create status = %d", resp.StatusCode)
-	}
-	h, ok := reg.Get("flat")
-	if !ok {
-		t.Fatal("legacy-created instance not registered")
-	}
-	s := h.Spec()
-	if s.Topology.Kind != spec.TopologyRandom || s.Channel.Kind != spec.ChannelGaussian ||
-		s.Policy.Kind != spec.PolicyLLR || s.Decision.UpdateEvery != 2 {
-		t.Fatalf("legacy spec mapping = %+v", s)
-	}
-	if _, err := c.Step("flat", 4); err != nil {
+	if err != nil {
 		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || ae.Code != CodeInvalidRequest {
+		t.Fatalf("flat create: status %d code %q (%s), want 400 %q", resp.StatusCode, ae.Code, ae.Message, CodeInvalidRequest)
+	}
+	if _, ok := reg.Get("flat"); ok {
+		t.Fatal("rejected flat create registered an instance")
 	}
 }
 
@@ -331,14 +329,14 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad JSON status = %d", resp.StatusCode)
 	}
-	// Unknown field rejected (flat shape).
+	// A body without "spec" rejected (the retired flat shape).
 	resp, err = http.Post(ts.URL+"/v1/instances", "application/json", strings.NewReader(`{"n":8,"m":2,"frobnicate":true}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field status = %d", resp.StatusCode)
+		t.Fatalf("flat body status = %d", resp.StatusCode)
 	}
 	// Unknown field rejected (spec shape).
 	resp, err = http.Post(ts.URL+"/v1/instances", "application/json",

@@ -205,10 +205,7 @@ func (r *Registry) ShardOf(id string) int {
 // channel count, seed) share topology, extended graph, catalog means and
 // protocol runtime through the registry's cache.
 //
-// The JSON form is {"id": ..., "spec": {...}}. The pre-spec flat form
-// ({"n":10,"m":2,"seed":1,...}) is still accepted and maps 1:1 onto a
-// random-topology gaussian spec — the construction streams are unchanged,
-// so legacy payloads create bit-identical instances.
+// The JSON form is {"id": ..., "spec": {...}}.
 type InstanceConfig struct {
 	// ID names the instance; empty generates "inst-<n>".
 	ID string `json:"id,omitempty"`
@@ -216,86 +213,22 @@ type InstanceConfig struct {
 	Spec spec.ScenarioSpec `json:"spec"`
 }
 
-// flatInstanceConfig is the legacy flat JSON shape of InstanceConfig, kept
-// so pre-spec clients keep working. It maps 1:1 onto a ScenarioSpec.
-type flatInstanceConfig struct {
-	ID               string  `json:"id,omitempty"`
-	N                int     `json:"n"`
-	M                int     `json:"m"`
-	Seed             int64   `json:"seed"`
-	NoiseSeed        int64   `json:"noise_seed,omitempty"`
-	TargetDegree     float64 `json:"target_degree,omitempty"`
-	RequireConnected bool    `json:"require_connected,omitempty"`
-	Policy           string  `json:"policy,omitempty"`
-	Gamma            float64 `json:"gamma,omitempty"`
-	R                int     `json:"r,omitempty"`
-	D                int     `json:"d,omitempty"`
-	UpdateEvery      int     `json:"update_every,omitempty"`
-	Sigma            float64 `json:"sigma,omitempty"`
-}
-
-// spec maps the flat fields onto the equivalent scenario spec. Gamma only
-// travels for the discounted policy: the legacy fill validated (and used)
-// it solely there and ignored it otherwise, and the strict spec would
-// reject a stray gamma — preserving exactly the set of payloads that
-// worked before.
-func (f flatInstanceConfig) spec() spec.ScenarioSpec {
-	gamma := 0.0
-	if f.Policy == spec.PolicyDiscountedZhouLi {
-		gamma = f.Gamma
-	}
-	return spec.ScenarioSpec{
-		Seed:      f.Seed,
-		NoiseSeed: f.NoiseSeed,
-		Topology: spec.TopologySpec{
-			Kind:             spec.TopologyRandom,
-			N:                f.N,
-			TargetDegree:     f.TargetDegree,
-			RequireConnected: f.RequireConnected,
-		},
-		Channel: spec.ChannelSpec{
-			Kind:  spec.ChannelGaussian,
-			M:     f.M,
-			Sigma: f.Sigma,
-		},
-		Policy: spec.PolicySpec{
-			Kind:  f.Policy,
-			Gamma: gamma,
-		},
-		Decision: spec.DecisionSpec{
-			R:           f.R,
-			D:           f.D,
-			UpdateEvery: f.UpdateEvery,
-		},
-	}
-}
-
-// UnmarshalJSON accepts both config shapes, strictly (unknown fields are
-// rejected in either): the spec form {"id","spec"} and the legacy flat
-// form, detected by the absence of a "spec" key.
+// UnmarshalJSON decodes the {"id","spec"} form strictly: unknown fields
+// are rejected, and so is a body without a "spec" key.
 func (c *InstanceConfig) UnmarshalJSON(data []byte) error {
-	var probe map[string]json.RawMessage
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return err
+	var p struct {
+		ID   string             `json:"id,omitempty"`
+		Spec *spec.ScenarioSpec `json:"spec"`
 	}
-	if _, ok := probe["spec"]; ok {
-		type plain InstanceConfig
-		var p plain
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&p); err != nil {
-			return err
-		}
-		*c = InstanceConfig(p)
-		return nil
-	}
-	var f flatInstanceConfig
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
+	if err := dec.Decode(&p); err != nil {
 		return err
 	}
-	*c = InstanceConfig{ID: f.ID, Spec: f.spec()}
+	if p.Spec == nil {
+		return errors.New(`serve: instance config has no "spec"`)
+	}
+	*c = InstanceConfig{ID: p.ID, Spec: *p.Spec}
 	return nil
 }
 

@@ -101,61 +101,28 @@ func TestCreateValidation(t *testing.T) {
 	}
 }
 
-// TestLegacyFlatJSONMapsToCanonicalSpec pins the compatibility contract:
-// the pre-spec flat InstanceConfig JSON decodes to exactly the canonical
-// spec its field-by-field translation produces.
-func TestLegacyFlatJSONMapsToCanonicalSpec(t *testing.T) {
-	legacy := `{
-		"id": "legacy-1",
-		"n": 10, "m": 2, "seed": 7, "noise_seed": 42,
-		"target_degree": 5.5, "require_connected": true,
-		"policy": "discounted-zhou-li", "gamma": 0.97,
-		"r": 3, "d": 6, "update_every": 4, "sigma": 0.1
-	}`
+// TestInstanceConfigJSONRequiresSpec pins the create payload contract: the
+// {"id","spec"} form decodes, while the retired pre-spec flat form, a
+// missing or null "spec", and unknown fields at either level are rejected.
+func TestInstanceConfigJSONRequiresSpec(t *testing.T) {
 	var cfg InstanceConfig
-	if err := json.Unmarshal([]byte(legacy), &cfg); err != nil {
+	if err := json.Unmarshal([]byte(`{"id":"a","spec":{"seed":7,"topology":{"n":10},"channel":{"m":2}}}`), &cfg); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cfg.Spec.Canonical()
-	if err != nil {
-		t.Fatal(err)
+	if cfg.ID != "a" || cfg.Spec.Seed != 7 || cfg.Spec.Topology.N != 10 || cfg.Spec.Channel.M != 2 {
+		t.Fatalf("spec form decoded to %+v", cfg)
 	}
-	want, err := spec.ScenarioSpec{
-		Seed:      7,
-		NoiseSeed: 42,
-		Topology: spec.TopologySpec{
-			Kind: spec.TopologyRandom, N: 10,
-			TargetDegree: 5.5, RequireConnected: true,
-		},
-		Channel: spec.ChannelSpec{Kind: spec.ChannelGaussian, M: 2, Sigma: 0.1},
-		Policy:  spec.PolicySpec{Kind: spec.PolicyDiscountedZhouLi, Gamma: 0.97},
-		Decision: spec.DecisionSpec{
-			R: 3, D: 6, UpdateEvery: 4,
-		},
-	}.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.ID != "legacy-1" || got != want {
-		t.Fatalf("legacy mapping:\n got %+v\nwant %+v", got, want)
-	}
-
-	// A stray gamma on a non-discounted policy was silently ignored by the
-	// legacy fill; the flat mapping must keep accepting (and ignoring) it.
-	if err := json.Unmarshal([]byte(`{"n":8,"m":2,"seed":1,"policy":"zhou-li","gamma":0.99}`), &cfg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cfg.Spec.Canonical(); err != nil {
-		t.Fatalf("legacy stray gamma should stay accepted: %v", err)
-	}
-
-	// Unknown fields are rejected in the flat shape too.
-	if err := json.Unmarshal([]byte(`{"n":8,"m":2,"frobnicate":true}`), &cfg); err == nil {
-		t.Fatal("unknown flat field should be rejected")
-	}
-	// And in the spec shape.
-	if err := json.Unmarshal([]byte(`{"spec":{"seed":1,"topology":{"n":8},"channel":{"m":2},"bogus":1}}`), &cfg); err == nil {
-		t.Fatal("unknown spec field should be rejected")
+	for _, body := range []string{
+		`{"id":"legacy-1","n":10,"m":2,"seed":7}`,
+		`{"id":"a"}`,
+		`{"id":"a","spec":null}`,
+		`{"n":8,"m":2,"frobnicate":true}`,
+		`{"spec":{"seed":1,"topology":{"n":8},"channel":{"m":2}},"bogus":1}`,
+		`{"spec":{"seed":1,"topology":{"n":8},"channel":{"m":2},"bogus":1}}`,
+	} {
+		if err := json.Unmarshal([]byte(body), &cfg); err == nil {
+			t.Errorf("%s accepted", body)
+		}
 	}
 }
 

@@ -133,7 +133,7 @@ func runFig6Size(cfg Fig6Config, size Size, cache *engine.ArtifactCache) (Fig6Se
 	if err != nil {
 		return Fig6Series{}, err
 	}
-	res, err := rt.Decide(inst.Means, nil)
+	res, err := rt.NewDecider().Decide(inst.Means, nil)
 	if err != nil {
 		return Fig6Series{}, fmt.Errorf("sim: fig6 decide %dx%d: %w", size.N, size.M, err)
 	}
